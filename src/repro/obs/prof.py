@@ -12,32 +12,35 @@ Design constraints, in order:
 
 1. **Zero overhead when off.**  The profiler is opt-in
    (``repro profile`` / :func:`profiled`).  Disabled — the default —
-   the engine's inlined dispatch loops run untouched; the only residue
-   is one attribute read per ``Engine.run`` call.
-2. **Zero perturbation when on.**  :meth:`EngineProfiler.run_engine`
-   replays the engine's exact pop-assign-dispatch sequence; it only
-   *reads* wall clocks and handler names.  Event order, simulated
+   engines are untouched and their one dispatch loop
+   (``Engine._loop``) runs its inlined fast path.
+2. **Zero perturbation when on.**  An engine built inside
+   :func:`profiled` is adopted by :meth:`EngineProfiler.attach`, which
+   wraps three of its methods per instance — the per-event hook
+   ``_dispatch``, the far-lane ``_roll`` and ``schedule`` — plus the
+   loop itself for per-run totals.  Each wrapper calls the original
+   unchanged and only *reads* wall clocks, lane depths and handler
+   names, so the engine's own loop decides event order.  Simulated
    time, exported traces and determinism hashes are byte-identical
    with the profiler on or off (pinned by test).
-3. **Account for everything.**  Per-iteration timestamps tile the
-   whole ``run()`` interval: every nanosecond lands either in a
-   dispatch bucket or in the profiler's own named ``profiler``
-   bucket, so attributed time covers ≥95% (in practice ≥99%) of
-   measured engine wall time.
+3. **Account for everything.**  The wrappers' timestamps tile the
+   whole loop interval: every nanosecond lands in a dispatch bucket,
+   the ``queue`` rows (near-lane pops between dispatches, far-lane
+   rolls) or the profiler's own named ``profiler`` bucket, so
+   attributed time covers ≥95% (in practice ≥99%) of measured engine
+   wall time.
 
 Export targets: a text top-N table (:func:`render_profile`) and a
 speedscope-format flamegraph (:func:`write_speedscope`) loadable at
 https://www.speedscope.app or with ``speedscope FILE``.
 """
 
-import heapq
+import gc
 import json
 import re
 import sys
 from time import perf_counter
 
-from repro.sim.errors import SimulationError
-from repro.sim.events import Event
 from repro.sim.process import Process
 
 #: Ordered (subsystem, substrings) rules mapping handler names — the
@@ -91,20 +94,20 @@ class EngineProfiler:
         #: (event kind, handler) -> [dispatches, self seconds, net
         #: allocated blocks].  Handler names are normalised.
         self.buckets = {}
-        #: Wall seconds inside ``Engine.run`` dispatch loops.
+        #: Wall seconds inside the engines' dispatch loops.
         self.run_wall_s = 0.0
         #: The profiler's own bookkeeping time (a named cost center —
         #: it is part of the measured wall time, so it must be
         #: attributed like everything else).
         self.overhead_s = 0.0
         # Event-queue operation costs, split per lane of the two-lane
-        # queue.  Near-lane pops are measured inside the dispatch loop
-        # (a subset of the enclosing handler's bucket, reported
-        # separately for visibility); far-lane pops happen during
-        # *rolls* — between events — so their time is attributed to a
-        # dedicated ``queue/far-lane roll`` cost center.  Pushes are
-        # timed via the schedule wrapper installed by :meth:`attach`.
-        self.near_pops = 0
+        # queue.  Pops and rolls happen in the loop *between*
+        # dispatches, so each has its own ``queue`` cost center:
+        # near-lane pop time is the loop's time from one hand-off to
+        # the next (pop, cancelled-entry drops, the hook call); far-lane
+        # pops are timed per roll.  Pushes (inside handlers, or while
+        # the world is built) are timed separately by the schedule
+        # wrapper.
         self.near_pop_s = 0.0
         self.near_pushes = 0
         self.near_push_s = 0.0
@@ -121,16 +124,31 @@ class EngineProfiler:
         self.peak_queue_depth = 0
         self.engines = 0
         self.run_calls = 0
-        self.events = 0
         # raw handler name -> (normalised label, subsystem): interning
         # keeps per-dispatch attribution to two dict hits.
         self._labels = {}
+        # End of the last attributed interval; the next one starts here.
+        self._mark = 0.0
+        # Net blocks the garbage collector has released during profiled
+        # loops (see _on_gc), and the count when the current pass began.
+        self._gc_blocks = 0
+        self._gc_start = 0
 
     def __repr__(self):
         return (
             f"<EngineProfiler engines={self.engines} events={self.events} "
             f"wall={self.run_wall_s:.3f}s>"
         )
+
+    @property
+    def events(self):
+        """Events dispatched through the profiled hook."""
+        return sum(bucket[0] for bucket in self.buckets.values())
+
+    @property
+    def near_pops(self):
+        """Near-lane pops: every dispatched event and dropped cancel."""
+        return self.events + self.queue_skipped
 
     # -- legacy whole-queue totals ----------------------------------------------
     @property
@@ -152,42 +170,127 @@ class EngineProfiler:
     def queue_pop_s(self):
         return self.near_pop_s + self.far_pop_s
 
+    def _on_gc(self, phase, info):
+        """``gc.callbacks`` hook: track the blocks each collection frees,
+        so a collection that lands mid-dispatch is not billed to the
+        handler it interrupted (the garbage is older than the handler)."""
+        if phase == "start":
+            self._gc_start = sys.getallocatedblocks()
+        else:
+            self._gc_blocks += sys.getallocatedblocks() - self._gc_start
+
     # -- attachment -------------------------------------------------------------
     def attach(self, engine):
-        """Adopt ``engine``: count it and time its queue pushes.
+        """Adopt ``engine`` — called from its constructor while this
+        profiler is the build-time hook (see :func:`profiled`).
 
-        The schedule wrapper calls the original method unchanged, so
-        scheduling semantics (ordering, validation, lane routing) are
-        identical; the wrapper then classifies the push by replaying
-        the routing test (same-instant → near lane, strictly future →
-        far-lane heap) and records per-lane depth peaks.
+        Installs per-instance wrappers over the class methods, each
+        calling the original unchanged, so scheduling and dispatch
+        semantics (ordering, validation, lane routing) are identical:
+
+        * ``_loop`` — per run: run count, wall time, tiling start/end;
+        * ``_dispatch`` — the per-event hook, which the loop then uses:
+          times the dispatch into its (event kind, handler) bucket;
+        * ``_roll`` — times each far-lane roll and counts its pops;
+        * ``schedule`` — times each push and classifies it by lane
+          (same-instant → near lane, strictly future → far-lane heap).
+
+        Lane depths are sampled after every push and roll — the only
+        operations that grow a lane — so the recorded peaks are exact.
+        The cancel-mark set is swapped for one that counts the entries
+        the loop drops.
         """
         self.engines += 1
-        original = type(engine).schedule
+        engine.profiler = self
         profiler = self
+        cls = type(engine)
+        loop, dispatch, roll, schedule = (
+            cls._loop, cls._dispatch, cls._roll, cls.schedule)
+        heap = engine._heap
+        lanes = engine._lanes
+        buckets = self.buckets
+        blocks = sys.getallocatedblocks
+        on_gc = self._on_gc
+        cancelled = _CountedCancels(engine._cancelled)
+        cancelled.profiler = self
+        engine._cancelled = cancelled
 
-        def schedule(event, delay=0.0, priority=None):
+        def near_depth():
+            return len(lanes[0]) + len(lanes[1]) + len(lanes[2])
+
+        def timed_loop(target, stop_at, hook):
+            profiler.run_calls += 1
+            gc.callbacks.append(on_gc)
+            entered = profiler._mark = perf_counter()
+            try:
+                loop(engine, target, stop_at, hook)
+            finally:
+                exited = perf_counter()
+                gc.callbacks.remove(on_gc)
+                profiler.overhead_s += exited - profiler._mark
+                profiler.run_wall_s += exited - entered
+
+        def timed_dispatch(event):
             t0 = perf_counter()
-            original(engine, event, delay, priority)
+            profiler.near_pop_s += t0 - profiler._mark
+            profiler._mark = t0
+            # The callbacks list is consumed by _process; keep it so
+            # the handler can be named outside the timed window.
+            callbacks = event.callbacks
+            before = blocks()
+            collected = profiler._gc_blocks
+            dispatch(engine, event)
+            t1 = perf_counter()
+            allocated = blocks() - before - (profiler._gc_blocks - collected)
+            key = profiler._bucket_key(event, callbacks)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = [0, 0.0, 0]
+            bucket[0] += 1
+            bucket[1] += t1 - t0
+            bucket[2] += allocated
+            profiler._mark = t2 = perf_counter()
+            profiler.overhead_s += t2 - t1
+
+        def timed_roll():
+            t0 = perf_counter()
+            profiler.near_pop_s += t0 - profiler._mark
+            profiler._mark = t0
+            far_depth = len(heap)
+            roll(engine)
+            t1 = perf_counter()
+            profiler.far_pop_s += t1 - t0
+            profiler.far_pops += far_depth - len(heap)
+            profiler.rolls += 1
+            depth = near_depth()
+            if depth > profiler.peak_near_depth:
+                profiler.peak_near_depth = depth
+            profiler._mark = t2 = perf_counter()
+            profiler.overhead_s += t2 - t1
+
+        def timed_schedule(event, delay=0.0, priority=None):
+            t0 = perf_counter()
+            schedule(engine, event, delay, priority)
             elapsed = perf_counter() - t0
-            near_depth = (len(engine._lane_urgent) + len(engine._lane_normal)
-                          + len(engine._lane_deferred))
-            far_depth = len(engine._heap)
+            near, far = near_depth(), len(heap)
             now = engine._now
             if delay == 0.0 or now + delay == now:
                 profiler.near_pushes += 1
                 profiler.near_push_s += elapsed
-                if near_depth > profiler.peak_near_depth:
-                    profiler.peak_near_depth = near_depth
+                if near > profiler.peak_near_depth:
+                    profiler.peak_near_depth = near
             else:
                 profiler.far_pushes += 1
                 profiler.far_push_s += elapsed
-                if far_depth > profiler.peak_far_depth:
-                    profiler.peak_far_depth = far_depth
-            if near_depth + far_depth > profiler.peak_queue_depth:
-                profiler.peak_queue_depth = near_depth + far_depth
+                if far > profiler.peak_far_depth:
+                    profiler.peak_far_depth = far
+            if near + far > profiler.peak_queue_depth:
+                profiler.peak_queue_depth = near + far
 
-        engine.schedule = schedule
+        engine._loop = timed_loop
+        engine._dispatch = timed_dispatch
+        engine._roll = timed_roll
+        engine.schedule = timed_schedule
 
     # -- attribution ------------------------------------------------------------
     def _bucket_key(self, event, callbacks):
@@ -223,144 +326,6 @@ class EngineProfiler:
             cached = self._labels[name] = (label, classify_handler(label))
         return event.__class__.__name__, cached[0], cached[1]
 
-    # -- the instrumented dispatch loop -----------------------------------------
-    def run_engine(self, engine, until=None):
-        """``Engine.run`` with per-event wall-clock attribution.
-
-        Replays the engine's exact two-lane dispatch sequence — serve
-        the near-lane FIFOs in priority order, roll the far-lane heap
-        when they drain, drop cancelled marks, count, kind-log,
-        ``_process``, observers — so simulated behaviour is
-        bit-identical to the fast path.  The added work per event is
-        two ``perf_counter`` reads, two ``getallocatedblocks`` reads
-        and one dict update; rolls add one timed window attributed to
-        the ``queue/far-lane roll`` cost center (they happen *between*
-        events, so no handler bucket could own them).
-        """
-        self.run_calls += 1
-        heap = engine._heap
-        lane_urgent = engine._lane_urgent
-        lane_normal = engine._lane_normal
-        lane_deferred = engine._lane_deferred
-        lanes = engine._lanes
-        cancelled = engine._cancelled
-        pop = heapq.heappop
-        log = engine.kind_log
-        observers = engine._observers
-        blocks = sys.getallocatedblocks
-        buckets = self.buckets
-        dispatched = 0
-        target_event = until if isinstance(until, Event) else None
-        horizon = None
-        if until is not None and target_event is None:
-            horizon = float(until)
-            if horizon < engine._now:
-                raise SimulationError(
-                    f"until={horizon} is in the past (now={engine._now})"
-                )
-        entered = perf_counter()
-        mark = entered
-        try:
-            while True:
-                # Mode-specific continuation test (mirrors the inlined
-                # fast-path loops exactly).
-                if target_event is not None and target_event.processed:
-                    break
-                near_depth = (len(lane_urgent) + len(lane_normal)
-                              + len(lane_deferred))
-                far_depth = len(heap)
-                if near_depth > self.peak_near_depth:
-                    self.peak_near_depth = near_depth
-                if far_depth > self.peak_far_depth:
-                    self.peak_far_depth = far_depth
-                if near_depth + far_depth > self.peak_queue_depth:
-                    self.peak_queue_depth = near_depth + far_depth
-                if near_depth:
-                    if horizon is not None and engine._now >= horizon:
-                        break
-                    t0 = perf_counter()
-                    self.overhead_s += t0 - mark
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    else:
-                        event = lane_deferred.popleft()
-                    t1 = perf_counter()
-                    self.near_pops += 1
-                    self.near_pop_s += t1 - t0
-                elif heap:
-                    when = heap[0][0]
-                    if horizon is not None and when >= horizon:
-                        break
-                    t0 = perf_counter()
-                    self.overhead_s += t0 - mark
-                    while heap and heap[0][0] == when:
-                        entry = pop(heap)
-                        lanes[entry[1]].append(entry[3])
-                        self.far_pops += 1
-                    engine._now = when
-                    t1 = perf_counter()
-                    self.far_pop_s += t1 - t0
-                    self.rolls += 1
-                    mark = t1
-                    continue
-                else:
-                    if target_event is not None:
-                        raise SimulationError(
-                            "run(until=event) exhausted all events before "
-                            "the target event triggered — deadlock?"
-                        )
-                    break
-                if cancelled and event in cancelled:
-                    cancelled.discard(event)
-                    self.queue_skipped += 1
-                    mark = t1
-                    continue
-                dispatched += 1
-                if log is not None:
-                    log.append(event.__class__)
-                # The callbacks list is consumed by _process; keep a
-                # reference so the handler can be named afterwards,
-                # outside the timed window.
-                callbacks = event.callbacks
-                before = blocks()
-                event._process()
-                if observers:
-                    when = engine._now
-                    for fn in observers:
-                        fn(when, event)
-                t2 = perf_counter()
-                allocated = blocks() - before
-                key = self._bucket_key(event, callbacks)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = [0, 0.0, 0]
-                bucket[0] += 1
-                bucket[1] += t2 - t0
-                bucket[2] += allocated
-                # Bookkeeping from here to the next iteration's t0 is
-                # profiler overhead; t2 is the hand-off point, so the
-                # timeline tiles with no unattributed gaps.
-                mark = t2
-
-            if horizon is not None:
-                engine._now = horizon
-                return None
-            if target_event is not None:
-                if target_event.ok:
-                    return target_event.value
-                target_event.defuse()
-                raise target_event.value
-            return None
-        finally:
-            engine.dispatched += dispatched
-            self.events += dispatched
-            exited = perf_counter()
-            self.overhead_s += exited - mark
-            self.run_wall_s += exited - entered
-            engine.wall_s += exited - entered
-
     # -- reporting --------------------------------------------------------------
     def cost_centers(self):
         """Buckets as dicts, most expensive first, with shares of the
@@ -379,18 +344,22 @@ class EngineProfiler:
             for (kind, handler, subsystem), (count, self_s, alloc)
             in self.buckets.items()
         ]
-        if self.far_pop_s:
-            # Rolls happen between events, so no handler bucket can own
-            # them; a named row keeps the timeline tiling exactly.
-            rows.append({
-                "subsystem": "queue",
-                "handler": "far-lane roll",
-                "event": "-",
-                "count": self.rolls,
-                "self_s": self.far_pop_s,
-                "share": self.far_pop_s / total,
-                "alloc_blocks": 0,
-            })
+        # Pops and rolls happen between events, so no handler bucket
+        # can own them; named rows keep the timeline tiling exactly.
+        for handler, count, self_s in (
+            ("near-lane pop", self.near_pops, self.near_pop_s),
+            ("far-lane roll", self.rolls, self.far_pop_s),
+        ):
+            if self_s:
+                rows.append({
+                    "subsystem": "queue",
+                    "handler": handler,
+                    "event": "-",
+                    "count": count,
+                    "self_s": self_s,
+                    "share": self_s / total,
+                    "alloc_blocks": 0,
+                })
         if self.overhead_s:
             rows.append({
                 "subsystem": "profiler",
@@ -419,9 +388,10 @@ class EngineProfiler:
     @property
     def attributed_s(self):
         """Seconds attributed to named cost centers (incl. the
-        far-lane roll and profiler rows)."""
+        queue and profiler rows)."""
         return (
             sum(self_s for _, self_s, _ in self.buckets.values())
+            + self.near_pop_s
             + self.far_pop_s
             + self.overhead_s
         )
@@ -485,9 +455,10 @@ class profiled:
     """Context manager installing ``profiler`` as the build-time hook.
 
     Every :class:`~repro.sim.engine.Engine` constructed inside the
-    ``with`` block dispatches through the profiler; engines built
-    before or after are untouched.  Nests safely (restores whatever
-    hook was active on exit).
+    ``with`` block is adopted by the profiler
+    (:meth:`EngineProfiler.attach`); engines built before or after are
+    untouched.  Nests safely (restores whatever hook was active on
+    exit).
     """
 
     def __init__(self, profiler):
@@ -498,7 +469,7 @@ class profiled:
         from repro.sim import engine as engine_module
 
         self._previous = engine_module.PROFILER
-        engine_module.PROFILER = _Hook(self.profiler)
+        engine_module.PROFILER = self.profiler
         return self.profiler
 
     def __exit__(self, *exc):
@@ -508,26 +479,16 @@ class profiled:
         return False
 
 
-class _Hook:
-    """The per-engine profiler facade stored on ``Engine.profiler``.
+class _CountedCancels(set):
+    """An adopted engine's cancel-mark set: the dispatch loop discards
+    each mark as its entry surfaces, so counting discards counts the
+    cancelled entries dropped at pop time."""
 
-    ``Engine.__init__`` copies the module-level hook; the hook's job
-    is to register the engine with the shared profiler the first time
-    that engine runs, then forward every dispatch loop.
-    """
+    __slots__ = ("profiler",)
 
-    __slots__ = ("profiler", "_attached")
-
-    def __init__(self, profiler):
-        self.profiler = profiler
-        self._attached = set()
-
-    def run_engine(self, engine, until=None):
-        key = id(engine)
-        if key not in self._attached:
-            self._attached.add(key)
-            self.profiler.attach(engine)
-        return self.profiler.run_engine(engine, until)
+    def discard(self, event):
+        self.profiler.queue_skipped += 1
+        set.discard(self, event)
 
 
 # -- rendering -------------------------------------------------------------------

@@ -25,9 +25,15 @@ route ``== now`` results to the near lane).  A rolled entry was pushed
 at an earlier instant than any same-timestamp near-lane append that
 follows it, so the roll-then-append order *is* seq order.  The
 differential oracle in ``tests/sim/test_queue_oracle.py`` checks this
-against the original flat-heap implementation
-(:class:`repro.sim.refqueue.ReferenceEngine`) over randomized
-schedules.
+against the original flat-heap implementation (``ReferenceEngine`` in
+``tests/sim/refqueue.py``) over randomized schedules.
+
+Events leave the queue in exactly one place, :meth:`Engine._loop`:
+pop the near lane in priority order, roll when it drains, drop
+cancelled entries, dispatch.  :meth:`Engine.run` (all three modes) and
+:meth:`Engine.step` differ only in the stop condition they hand it and
+in the optional per-event hook — ``None`` for the inlined fast path,
+else :meth:`Engine._dispatch` with its kind-log and observer fan-out.
 
 Cancellation is O(1) by mark: :meth:`Engine.cancel` records the event
 in a small set and the dispatch loop drops marked entries when they
@@ -39,6 +45,7 @@ dispatched: it does not advance ``dispatched``, never reaches the
 import heapq
 from itertools import count
 from collections import deque
+from math import isfinite
 from time import perf_counter
 
 from repro.sim.errors import EmptySchedule, SimulationError
@@ -55,15 +62,18 @@ URGENT = 0
 DEFERRED = 2
 
 #: When set (see :func:`repro.obs.prof.profiled`), every Engine built
-#: afterwards dispatches through this profiler's instrumented loop
-#: instead of the inlined fast paths below.  ``None`` — the default —
-#: keeps the hot path entirely untouched: the only residue is one
-#: attribute read per :meth:`Engine.run` call.
+#: afterwards is adopted by this profiler
+#: (:meth:`~repro.obs.prof.EngineProfiler.attach`), which wraps its
+#: queue operations and per-event hook.  ``None`` — the default —
+#: leaves engines untouched.
 PROFILER = None
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _INF = float("inf")
+#: The stop target of drain and horizon runs: an event that never
+#: fires, so only an empty (or horizon-bounded) queue ends the loop.
+_NEVER = Event(None)
 
 
 class Engine:
@@ -111,14 +121,14 @@ class Engine:
         self._observers = []
         #: Events processed so far (cheap dispatch count for obs).
         self.dispatched = 0
-        #: Host wall-clock seconds spent inside :meth:`run` dispatch
-        #: loops — two ``perf_counter`` reads per ``run()`` call, never
-        #: per event.  Simulated outputs ignore it; the observability
+        #: Host wall-clock seconds spent inside the dispatch loop —
+        #: two ``perf_counter`` reads per ``run()``/``step()`` call,
+        #: never per event.  Simulated outputs ignore it; the observability
         #: layer reports it (events/s, ``repro diff`` wall deltas).
         self.wall_s = 0.0
-        #: The engine profiler dispatch hook (module default at build
-        #: time; see :data:`PROFILER`).  ``None`` = fast path.
-        self.profiler = PROFILER
+        #: The :class:`~repro.obs.prof.EngineProfiler` that adopted this
+        #: engine at build time (see :data:`PROFILER`), else ``None``.
+        self.profiler = None
         # kind -> last issued id (see :meth:`serial`).
         self._serials = {}
         #: When set to a list, dispatch appends each processed event's
@@ -127,6 +137,8 @@ class Engine:
         #: increment, and an observer callback costs more still); the
         #: log is folded into per-kind counts at export time.
         self.kind_log = None
+        if PROFILER is not None:
+            PROFILER.attach(self)
 
     def __repr__(self):
         pending = (len(self._heap) + len(self._lane_urgent)
@@ -232,25 +244,20 @@ class Engine:
         if delay == 0.0:
             if priority is None:
                 self._lane_normal.append(event)
-            else:
-                self._lanes[priority].append(event)
-            return
-        if delay < 0:
+                return
+        elif delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        now = self._now
-        when = now + delay
-        if when == now:
-            # A denormal-small delay that rounds back to the current
-            # instant — near-lane, so the far lane stays strictly future.
-            if priority is None:
-                self._lane_normal.append(event)
-            else:
-                self._lanes[priority].append(event)
-            return
         if priority is None:
             priority = NORMAL
         elif not 0 <= priority <= 2:
             raise SimulationError(f"unknown scheduling priority {priority!r}")
+        now = self._now
+        when = now + delay
+        if when == now:
+            # Same instant (a zero delay, or one so small it rounds back
+            # to now): near lane, so the far lane stays strictly future.
+            self._lanes[priority].append(event)
+            return
         _heappush(self._heap, (when, priority, next(self._seq), event))
 
     def cancel(self, event):
@@ -299,43 +306,28 @@ class Engine:
             lanes[entry[1]].append(entry[3])
         self._now = when
 
-    def _next_live(self):
-        """Pop the next non-cancelled event, or raise EmptySchedule.
-
-        Rolls the far lane as needed; the clock may advance past
-        instants whose every entry was cancelled.
-        """
-        lane_urgent = self._lane_urgent
-        lane_normal = self._lane_normal
-        lane_deferred = self._lane_deferred
-        cancelled = self._cancelled
-        while True:
-            if lane_urgent:
-                event = lane_urgent.popleft()
-            elif lane_normal:
-                event = lane_normal.popleft()
-            elif lane_deferred:
-                event = lane_deferred.popleft()
-            elif self._heap:
-                self._roll()
-                continue
-            else:
-                raise EmptySchedule("no scheduled events remain") from None
-            if cancelled and event in cancelled:
-                cancelled.discard(event)
-                continue
-            return event
-
-    def step(self):
-        """Process exactly one event; raise :class:`EmptySchedule` if none."""
-        event = self._next_live()
-        self.dispatched += 1
+    def _dispatch(self, event):
+        """The per-event hook: kind-log append, ``_process``, observer
+        fan-out.  An attached profiler replaces it with a timed wrapper."""
         log = self.kind_log
         if log is not None:
             log.append(event.__class__)
         event._process()
         for fn in self._observers:
             fn(self._now, event)
+
+    def step(self):
+        """Process exactly one event; raise :class:`EmptySchedule` if none."""
+        done = Event(self)
+        dispatch = self._dispatch
+
+        def once(event):
+            done.callbacks = None
+            dispatch(event)
+
+        self._loop(done, _INF, once)
+        if done.callbacks is not None:
+            raise EmptySchedule("no scheduled events remain")
 
     def run(self, until=None):
         """Run the simulation.
@@ -345,232 +337,96 @@ class Engine:
         until:
             ``None`` — run until no events remain and return ``None``.
             An :class:`Event` — run until it is processed; return its
-            value (or raise its exception).  A number — process every
-            event scheduled strictly before that time, then set the clock
-            to it.
+            value (or raise its exception).  A finite number — process
+            every event scheduled strictly before that time, then set
+            the clock to it.
 
-        The dispatch mode is pre-computed once at entry: with no
-        ``kind_log`` and no observers installed — the common case — the
-        inlined loops below do *zero* per-event conditional work beyond
-        the queue mechanics themselves (lane selection and the
-        cancelled-mark truthiness test); the instrumented variant with
-        the kind-log append and observer fan-out lives in
-        :meth:`_run_observed`.  Both replay the identical
-        pop-assign-dispatch sequence, so event order never changes.
-        ``Event._process`` is inlined into the loops (events do not
-        override it).
-
-        When a profiler is attached (``repro profile``) the dispatch
-        loop is delegated to :meth:`EngineProfiler.run_engine
-        <repro.obs.prof.EngineProfiler.run_engine>`, which replays the
-        exact same sequence with per-event wall-clock attribution —
-        event order, and therefore every simulated output, is identical
-        either way.
+        All three modes are one loop, :meth:`_loop`, whose stop
+        condition is data: a target event (the never-fired
+        :data:`_NEVER` when draining or running to a horizon) and a
+        ``stop_at`` time that bounds rolls (``inf`` without a horizon).
+        The per-event hook is chosen once here: with no ``kind_log``,
+        observers or profiler — the common case — the loop dispatches
+        inline; otherwise every event goes through :meth:`_dispatch`.
+        Event order is the same either way.
         """
-        if self.profiler is not None:
-            return self.profiler.run_engine(self, until)
-        if self.kind_log is not None or self._observers:
-            return self._run_observed(until)
-        entered = perf_counter()
-        heap = self._heap
-        lane_urgent = self._lane_urgent
-        lane_normal = self._lane_normal
-        lane_deferred = self._lane_deferred
-        lanes = self._lanes
-        cancelled = self._cancelled
-        pop = _heappop
-        dispatched = 0
-        try:
-            if until is None:
-                while True:
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    elif lane_deferred:
-                        event = lane_deferred.popleft()
-                    elif heap:
-                        when = heap[0][0]
-                        while heap and heap[0][0] == when:
-                            entry = pop(heap)
-                            lanes[entry[1]].append(entry[3])
-                        self._now = when
-                        continue
-                    else:
-                        return None
-                    if cancelled and event in cancelled:
-                        cancelled.discard(event)
-                        continue
-                    dispatched += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-            if isinstance(until, Event):
-                while until.callbacks is not None:
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    elif lane_deferred:
-                        event = lane_deferred.popleft()
-                    elif heap:
-                        when = heap[0][0]
-                        while heap and heap[0][0] == when:
-                            entry = pop(heap)
-                            lanes[entry[1]].append(entry[3])
-                        self._now = when
-                        continue
-                    else:
-                        raise SimulationError(
-                            "run(until=event) exhausted all events before "
-                            "the target event triggered — deadlock?"
-                        )
-                    if cancelled and event in cancelled:
-                        cancelled.discard(event)
-                        continue
-                    dispatched += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                if until._ok:
-                    return until._value
-                until.defuse()
-                raise until._value
-
-            horizon = float(until)
-            if horizon < self._now:
+        target = _NEVER
+        stop_at = _INF
+        if isinstance(until, Event):
+            target = until
+        elif until is not None:
+            stop_at = float(until)
+            if not isfinite(stop_at):
+                raise SimulationError(f"until={until!r} is not a finite time")
+            if stop_at < self._now:
                 raise SimulationError(
-                    f"until={horizon} is in the past (now={self._now})"
+                    f"until={stop_at} is in the past (now={self._now})"
                 )
-            while True:
-                if lane_urgent or lane_normal or lane_deferred:
-                    if self._now >= horizon:
-                        break
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    else:
-                        event = lane_deferred.popleft()
-                elif heap:
-                    when = heap[0][0]
-                    if when >= horizon:
-                        break
-                    while heap and heap[0][0] == when:
-                        entry = pop(heap)
-                        lanes[entry[1]].append(entry[3])
-                    self._now = when
-                    continue
-                else:
-                    break
-                if cancelled and event in cancelled:
-                    cancelled.discard(event)
-                    continue
-                dispatched += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            self._now = horizon
+            if stop_at == self._now:
+                return None
+        hook = None
+        if (self.profiler is not None or self.kind_log is not None
+                or self._observers):
+            hook = self._dispatch
+        self._loop(target, stop_at, hook)
+        if target is _NEVER:
+            if stop_at < _INF:
+                self._now = stop_at
             return None
-        finally:
-            self.dispatched += dispatched
-            self.wall_s += perf_counter() - entered
+        if target.callbacks is not None:
+            raise SimulationError(
+                "run(until=event) exhausted all events before the target "
+                "event triggered — deadlock?"
+            )
+        if target._ok:
+            return target._value
+        target.defuse()
+        raise target._value
 
-    def _run_observed(self, until):
-        """The dispatch loops with kind-log / observer instrumentation.
+    def _loop(self, target, stop_at, hook):
+        """The dispatch loop: the one place events leave the queue.
 
-        Identical pop-assign-dispatch sequence to the fast loops in
-        :meth:`run` — only the per-event kind-log append and observer
-        fan-out are added, so simulated outputs match byte for byte.
+        Until ``target`` is processed, pop the near-lane FIFOs in
+        priority order, roll the far lane when they drain (only to
+        instants before ``stop_at``), drop cancelled entries and
+        dispatch each live event — through ``hook(event)`` when given,
+        else inline (``Event._process``, which events do not override).
+        Returns when the target fires or nothing is left to run.
         """
-        entered = perf_counter()
         heap = self._heap
         lane_urgent = self._lane_urgent
         lane_normal = self._lane_normal
         lane_deferred = self._lane_deferred
-        lanes = self._lanes
         cancelled = self._cancelled
-        pop = _heappop
-        log = self.kind_log
-        observers = self._observers
+        roll = self._roll
         dispatched = 0
+        entered = perf_counter()
         try:
-            if until is None:
-                target = None
-                horizon = None
-            elif isinstance(until, Event):
-                target = until
-                horizon = None
-            else:
-                target = None
-                horizon = float(until)
-                if horizon < self._now:
-                    raise SimulationError(
-                        f"until={horizon} is in the past (now={self._now})"
-                    )
-            while True:
-                if target is not None and target.callbacks is None:
-                    break
-                if lane_urgent or lane_normal or lane_deferred:
-                    if horizon is not None and self._now >= horizon:
-                        break
-                    if lane_urgent:
-                        event = lane_urgent.popleft()
-                    elif lane_normal:
-                        event = lane_normal.popleft()
-                    else:
-                        event = lane_deferred.popleft()
-                elif heap:
-                    when = heap[0][0]
-                    if horizon is not None and when >= horizon:
-                        break
-                    while heap and heap[0][0] == when:
-                        entry = pop(heap)
-                        lanes[entry[1]].append(entry[3])
-                    self._now = when
+            while target.callbacks is not None:
+                if lane_urgent:
+                    event = lane_urgent.popleft()
+                elif lane_normal:
+                    event = lane_normal.popleft()
+                elif lane_deferred:
+                    event = lane_deferred.popleft()
+                elif heap and heap[0][0] < stop_at:
+                    roll()
                     continue
                 else:
-                    if target is not None:
-                        raise SimulationError(
-                            "run(until=event) exhausted all events before "
-                            "the target event triggered — deadlock?"
-                        )
-                    break
+                    return
                 if cancelled and event in cancelled:
                     cancelled.discard(event)
                     continue
                 dispatched += 1
-                if log is not None:
-                    log.append(event.__class__)
+                if hook is not None:
+                    hook(event)
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if observers:
-                    now = self._now
-                    for fn in observers:
-                        fn(now, event)
-            if horizon is not None:
-                self._now = horizon
-                return None
-            if target is not None:
-                if target._ok:
-                    return target._value
-                target.defuse()
-                raise target._value
-            return None
         finally:
             self.dispatched += dispatched
             self.wall_s += perf_counter() - entered

@@ -4,6 +4,9 @@ import pytest
 
 from repro.sim import Engine, Event, SimulationError
 from repro.sim.errors import EmptySchedule
+from tests.sim.refqueue import ReferenceEngine
+
+BOTH_ENGINES = pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
 
 
 def test_clock_starts_at_zero():
@@ -204,3 +207,37 @@ def test_urgent_priority_runs_first_at_same_time():
     urgent.succeed(priority=URGENT)
     eng.run()
     assert order == ["urgent", "normal"]
+
+
+@BOTH_ENGINES
+@pytest.mark.parametrize("delay", [0.0, 1.0])
+@pytest.mark.parametrize("priority", [-1, 3])
+def test_unknown_priority_rejected_in_both_lanes(engine_cls, delay, priority):
+    eng = engine_cls()
+    with pytest.raises(SimulationError, match="unknown scheduling priority"):
+        eng.schedule(Event(eng), delay=delay, priority=priority)
+    assert eng.peek() == float("inf")  # nothing was queued
+
+
+@BOTH_ENGINES
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"),
+                                     float("-inf")])
+def test_non_finite_horizon_rejected(engine_cls, horizon):
+    eng = engine_cls()
+    eng.timeout(1.0)
+    with pytest.raises(SimulationError, match="not a finite time"):
+        eng.run(until=horizon)
+    assert eng.now == 0.0
+    eng.run()
+    assert eng.now == 1.0
+
+
+@BOTH_ENGINES
+def test_horizon_equal_to_now_dispatches_nothing(engine_cls):
+    eng = engine_cls(initial_time=2.0)
+    fired = []
+    eng.event().succeed().callbacks.append(fired.append)
+    eng.run(until=2.0)
+    assert fired == [] and eng.now == 2.0 and eng.dispatched == 0
+    eng.run()
+    assert len(fired) == 1

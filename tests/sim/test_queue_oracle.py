@@ -31,7 +31,7 @@ import pytest
 from repro.sim.engine import DEFERRED, Engine, URGENT
 from repro.sim.events import Event, Timeout
 from repro.sim.errors import SimulationError
-from repro.sim.refqueue import ReferenceEngine
+from tests.sim.refqueue import ReferenceEngine
 
 SEEDS = [101, 202, 303, 404, 505]
 CASES_PER_SEED = 200
