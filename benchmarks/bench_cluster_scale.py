@@ -14,23 +14,19 @@ The headline claims checked here:
 * raising the cap trades queueing delay for concurrency without ever
   violating the per-host limit.
 
-Run directly (writes the JSON artifact)::
+Measure, rewrite ``BENCH_cluster_scale.json`` and gate it against the
+committed copy (:mod:`benchmarks.gate`)::
 
-    PYTHONPATH=src python benchmarks/bench_cluster_scale.py
+    PYTHONPATH=src python -m benchmarks.gate cluster_scale
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_cluster_scale.py
 """
 
-import json
-import os
 import time
 
 from repro.cluster import StressConfig, run_stress
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_cluster_scale.json")
 
 #: The stress scenario: 16 hosts, 64 processes, one request per process.
 HOSTS = 16
@@ -110,23 +106,3 @@ def test_cap_sweep_is_monotone_in_queueing():
         assert result.peak_host_inflight <= cap
         depths.append(result.peak_queue)
     assert depths == sorted(depths, reverse=True)
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    default = next(
-        row for row in artifact["rows"]
-        if row["inflight_cap"] == artifact["default_cap"]
-    )
-    ok = default["sustained_inflight"] >= artifact["sustained_target"]
-    print(f"sustained in-flight at cap {artifact['default_cap']}: "
-          f"{default['sustained_inflight']} "
-          f"({'OK' if ok else 'UNDER TARGET'})")
-
-
-if __name__ == "__main__":
-    main()

@@ -11,45 +11,31 @@ per event), then repeats the reference shape under the
 :class:`~repro.obs.prof.EngineProfiler` to record the top-5
 profiler-attributed cost centers.  The artifact lands in
 ``BENCH_engine_throughput.json`` at the repo root; CI re-runs the bench
-and :func:`gate` **fails** it on a >10% events/s regression against the
-committed file (and, unconditionally, on any determinism-hash
-divergence — see :func:`check`).  Host timing is machine-dependent but a
+and :mod:`benchmarks.gate` **fails** it on a >10% events/s regression
+on any shape against the committed file (and, unconditionally, on any
+determinism-hash divergence).  Host timing is machine-dependent but a
 10% tolerance absorbs runner noise; the two-lane queue work showed real
 regressions land well past it.
 
-Run directly (writes the JSON artifact)::
+Measure, rewrite ``BENCH_engine_throughput.json`` and gate it against
+the committed copy (prints a markdown summary; exits non-zero listing
+each failure)::
 
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py
-
-Gate a fresh artifact against a saved copy of the committed one (prints
-a markdown summary; exits non-zero listing each failure)::
-
-    cp BENCH_engine_throughput.json /tmp/committed.json
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py > /dev/null
-    PYTHONPATH=src python -c "from benchmarks.bench_engine_throughput \
-        import gate; gate('/tmp/committed.json')"
+    PYTHONPATH=src python -m benchmarks.gate engine_throughput
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_throughput.py
 """
 
-import json
-import os
-import sys
-
 from repro.cluster import StressConfig, run_stress
 from repro.obs.prof import EngineProfiler, profiled
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_engine_throughput.json")
 
 SEED = 7
 #: Repeats per shape; the best run is reported (throughput is a
 #: capability number — slower repeats measure host noise, not the code).
 REPEATS = 3
-#: The stress shapes swept.  ``reference`` is the profiled shape and the
-#: one the events/s regression guard reads.
+#: The stress shapes swept.  ``reference`` is the profiled shape.
 SHAPES = (
     ("small", dict(hosts=4, procs=8)),
     ("reference", dict(hosts=16, procs=64)),
@@ -61,8 +47,6 @@ SHAPES = (
 )
 PROFILED_SHAPE = "reference"
 TOP_CENTERS = 5
-#: The gate's floor: fresh events/s as a fraction of the committed value.
-MIN_RATE_RATIO = 0.90
 
 
 def run_shape(kwargs):
@@ -178,76 +162,6 @@ def measure():
     }
 
 
-def reference_rate(artifact):
-    """The guarded number: reference-shape events/s."""
-    return next(
-        row["events_per_s"] for row in artifact["rows"]
-        if row["shape"] == PROFILED_SHAPE
-    )
-
-
-def check(fresh, committed):
-    """Gate failures of a ``fresh`` artifact against the ``committed``
-    one, as one-line messages (empty = pass).
-
-    Every fresh row must be verified, reproduce its committed
-    determinism hash, keep at least :data:`MIN_RATE_RATIO` of its
-    committed events/s, and name a shape the committed file has.
-    """
-    committed_rows = {row["shape"]: row for row in committed["rows"]}
-    failures = []
-    for row in fresh["rows"]:
-        shape = row["shape"]
-        old = committed_rows.get(shape)
-        if old is None:
-            failures.append(f"{shape}: new shape not committed")
-            continue
-        if not row["verified"]:
-            failures.append(f"{shape}: run not verified")
-        if row["determinism_hash"] != old["determinism_hash"]:
-            failures.append(
-                f"{shape}: simulated outcome diverged from baseline")
-        if row["events_per_s"] < MIN_RATE_RATIO * old["events_per_s"]:
-            failures.append(
-                f"{shape}: events/s regressed >10%: "
-                f"{old['events_per_s']:,.0f} -> {row['events_per_s']:,.0f}")
-    return failures
-
-
-def gate(committed_path, fresh_path=ARTIFACT):
-    """CI entry point: print a markdown summary of the fresh artifact
-    against the committed copy at ``committed_path``, then exit
-    non-zero listing every :func:`check` failure."""
-    with open(fresh_path, encoding="utf-8") as handle:
-        fresh = json.load(handle)
-    with open(committed_path, encoding="utf-8") as handle:
-        committed = json.load(handle)
-    committed_rows = {row["shape"]: row for row in committed["rows"]}
-    print(f"### Engine throughput (seed {fresh['seed']}, "
-          f"best of {fresh['repeats']})\n")
-    print("| shape | events | events/s (delta vs committed) |")
-    print("| --- | --- | --- |")
-    for row in fresh["rows"]:
-        old = committed_rows.get(row["shape"], row)
-        delta = row["events_per_s"] - old["events_per_s"]
-        print(f"| {row['shape']} | {row['events_dispatched']:,} "
-              f"| {row['events_per_s']:,.0f} ({delta:+,.0f}) |")
-    profile = fresh["profile"]
-    lanes = profile["queue_lanes"]
-    print(f"\nProfiler coverage {100 * profile['coverage']:.1f}%, "
-          f"peak queue depth {profile['peak_queue_depth']} "
-          f"(near {lanes['near']['peak_depth']} / "
-          f"far {lanes['far']['peak_depth']}, "
-          f"{lanes['far']['rolls']:,} rolls); top cost centers:\n")
-    for row in profile["top_cost_centers"]:
-        print(f"- `{row['subsystem']}/{row['handler']}` "
-              f"({row['event']}): {row['count']:,} events, "
-              f"{100 * row['share']:.1f}% of engine time")
-    failures = check(fresh, committed)
-    if failures:
-        sys.exit("engine-throughput gate failed:\n" + "\n".join(failures))
-
-
 def test_shapes_dispatch_and_verify():
     """Every shape runs verified and the dispatch clock ticks."""
     for _, kwargs in SHAPES:
@@ -270,18 +184,3 @@ def test_profiler_attributes_reference_shape():
     assert profile["peak_queue_depth"] >= max(
         lanes["near"]["peak_depth"], lanes["far"]["peak_depth"]
     )
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    print(f"reference events/s: {reference_rate(artifact):,.0f} "
-          f"(profiler coverage "
-          f"{100 * artifact['profile']['coverage']:.1f}%)")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,24 +16,20 @@ The adaptive strategy must beat serial pure-IOU there too.
 
 The artifact lands in ``BENCH_serving.json`` at the repo root.
 
-Run directly (writes the JSON artifact)::
+Measure, rewrite ``BENCH_serving.json`` and gate it against the
+committed copy (:mod:`benchmarks.gate`)::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py
+    PYTHONPATH=src python -m benchmarks.gate serving
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_serving.py
 """
 
-import json
-import os
 import time
 
 from repro.cluster.stress import StressConfig
 from repro.serve import run_serve
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_serving.json")
 
 SEED = 11
 SERVICES = ("kv", "matmul", "stream")
@@ -166,26 +162,3 @@ def test_every_arm_replays_bit_stably():
         first, _ = run_arm(strategy, batch, pipeline)
         second, _ = run_arm(strategy, batch, pipeline)
         assert first.determinism_hash == second.determinism_hash
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    for arm, improvement in artifact["during_p99_improvement"].items():
-        bar = (
-            artifact["headline_target"]
-            if arm == "pure-iou-batched" else 1.0
-        )
-        ok = improvement >= bar
-        print(
-            f"{arm}: {HEADLINE_SERVICE} during-migration p99 improvement "
-            f"{improvement}x over pure-iou-serial "
-            f"({'OK' if ok else 'UNDER TARGET'})"
-        )
-
-
-if __name__ == "__main__":
-    main()

@@ -15,23 +15,19 @@ The headline claims checked here:
 * ``batch=8, pipeline=4`` cuts total stall time by >= 2x on both
   workloads (the tentpole acceptance bar).
 
-Run directly (writes the JSON artifact)::
+Measure, rewrite ``BENCH_transfer_pipeline.json`` and gate it against the
+committed copy (:mod:`benchmarks.gate`)::
 
-    PYTHONPATH=src python benchmarks/bench_transfer_pipeline.py
+    PYTHONPATH=src python -m benchmarks.gate transfer_pipeline
 
 or through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_transfer_pipeline.py
 """
 
-import json
-import os
 import time
 
 from repro.testbed import Testbed
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARTIFACT = os.path.join(REPO_ROOT, "BENCH_transfer_pipeline.json")
 
 SEED = 1987
 #: The fault-heavy representatives the acceptance bar applies to.
@@ -164,24 +160,3 @@ def test_headline_point_halves_stall_time():
         serial_stall, _, _ = _stall_stats(serial)
         batched_stall, _, _ = _stall_stats(batched)
         assert serial_stall >= STALL_TARGET * batched_stall, workload
-
-
-def main():
-    artifact = measure()
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(artifact, indent=2))
-    for workload, reduction in artifact["stall_reduction"].items():
-        ok = (
-            reduction >= artifact["stall_target"]
-            and artifact["serial_matches_golden"][workload]
-        )
-        print(f"{workload}: stall reduction {reduction}x at "
-              f"batch={HEADLINE[0]}/pipeline={HEADLINE[1]}, serial golden "
-              f"{'match' if artifact['serial_matches_golden'][workload] else 'MISMATCH'} "
-              f"({'OK' if ok else 'UNDER TARGET'})")
-
-
-if __name__ == "__main__":
-    main()

@@ -904,16 +904,13 @@ def cmd_balance(args, out):
     knobs, code = _load_transfer(args, out)
     if code:
         return code
-    # Only a non-default trio pins the knobs scenario-wide; otherwise
-    # the legacy behaviour stands (each policy decision carries its own
-    # prefetch).
     _, slos, code = _load_slo(args, out)
     if code:
         return code
-    options = knobs if any(
-        (knobs["prefetch"], knobs["batch"] > 1, knobs["pipeline"] > 1,
-         knobs["store"], knobs["dedup"])
-    ) else None
+    # Only non-default knobs pin the options scenario-wide; otherwise
+    # the legacy behaviour stands (each policy decision carries its own
+    # prefetch).
+    options = knobs if TransferOptions(**knobs) != TransferOptions() else None
     scenario = Scenario(
         args.workloads, hosts=args.hosts, seed=args.seed,
         instrument=bool(args.trace), faults=plan, options=options,

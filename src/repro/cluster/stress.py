@@ -10,6 +10,7 @@ traces and the same :attr:`StressResult.determinism_hash`.
 """
 
 import hashlib
+import inspect
 import json
 
 from repro.cluster.scheduler import ClusterScheduler
@@ -22,6 +23,11 @@ from repro.workloads.registry import workload_by_name
 
 #: Supported arrival patterns.
 ARRIVALS = ("uniform", "poisson", "burst")
+#: Knobs that :meth:`StressConfig.to_dict` serialises only when they
+#: differ from their constructor default.
+_OPTIONAL_KNOBS = (
+    "prefetch", "batch", "pipeline", "store", "dedup", "sample_period",
+)
 
 
 class StressConfig:
@@ -45,6 +51,10 @@ class StressConfig:
             raise ValueError(f"arrival must be one of {ARRIVALS}, got {arrival!r}")
         if rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
+        if burst_size < 1:
+            raise ValueError(f"burst_size must be >= 1, got {burst_size}")
+        if inflight_cap < 1:
+            raise ValueError(f"inflight_cap must be >= 1, got {inflight_cap}")
         # Range-checks prefetch/batch/pipeline so a bad trio fails here,
         # with the other configuration errors, not mid-run.
         TransferOptions(
@@ -94,6 +104,8 @@ class StressConfig:
             )
         if request_rate_per_s <= 0:
             raise ValueError("request_rate_per_s must be positive")
+        if request_burst < 1:
+            raise ValueError(f"request_burst must be >= 1, got {request_burst}")
         if retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
         #: Serving workload mix (names from repro.serve.SERVING;
@@ -134,9 +146,10 @@ class StressConfig:
     def to_dict(self):
         """Plain-data view (part of the determinism-hash input).
 
-        The transfer-knob trio only appears when it deviates from the
-        defaults, so hashes recorded before the knobs existed stay
-        valid for default-knob runs.
+        Each knob in :data:`_OPTIONAL_KNOBS` appears only when it
+        differs from its default in the constructor signature, so
+        hashes recorded before the knob existed stay valid for runs
+        that leave it alone.
         """
         data = {
             "hosts": self.hosts,
@@ -152,26 +165,16 @@ class StressConfig:
             "job_seconds": self.job_seconds,
             "seed": self.seed,
         }
-        if self.prefetch:
-            data["prefetch"] = self.prefetch
-        if self.batch != 1:
-            data["batch"] = self.batch
-        if self.pipeline != 1:
-            data["pipeline"] = self.pipeline
-        # Store knobs likewise appear only when switched on, so hashes
-        # recorded before the content store existed stay valid.
-        if self.store:
-            data["store"] = True
-        if self.dedup:
-            data["dedup"] = True
-        # Telemetry knobs likewise appear only when switched on, so
-        # hashes recorded before sampling existed stay valid.
-        if self.sample_period:
-            data["sample_period"] = self.sample_period
+        defaults = inspect.signature(StressConfig).parameters
+        for name in _OPTIONAL_KNOBS:
+            value = getattr(self, name)
+            if value != defaults[name].default:
+                data[name] = value
+        # The SLO spec serialises parsed, and only when it names one.
         if self._slos:
             data["slo"] = [slo.to_dict() for slo in self._slos]
         # Serving knobs appear as one block, and only when a mix is
-        # configured — same convention again.
+        # configured.
         if self.services:
             data["serving"] = {
                 "services": list(self.services),

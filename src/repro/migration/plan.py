@@ -81,21 +81,23 @@ class TransferOptions:
         return self.store or self.dedup
 
     @classmethod
-    def coerce(cls, options=None, **defaults):
+    def coerce(cls, options=None, **explicit):
         """Normalise ``options`` into a :class:`TransferOptions`.
 
-        ``None`` builds one from ``defaults`` (the legacy positional
-        kwargs of the entry points); an existing instance wins over the
-        defaults entirely; a dict updates the defaults.
+        ``options`` is a record (an instance, a dict of fields, or
+        ``None`` for the defaults); each ``explicit`` keyword that is
+        not ``None`` wins over the record's field of that name.
         """
+        explicit = {
+            name: value for name, value in explicit.items()
+            if value is not None
+        }
         if options is None:
-            return cls(**defaults)
+            return cls(**explicit)
         if isinstance(options, cls):
-            return options
+            return replace(options, **explicit)
         if isinstance(options, dict):
-            merged = dict(defaults)
-            merged.update(options)
-            return cls(**merged)
+            return cls(**{**options, **explicit})
         raise TypeError(
             f"options must be TransferOptions, dict or None, "
             f"got {type(options).__name__}"

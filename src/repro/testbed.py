@@ -22,7 +22,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.timeline import Timeline
 from repro.migration.manager import MigrationAborted, MigrationManager
 from repro.migration.plan import TransferOptions
-from repro.migration.strategy import PURE_IOU, Strategy
+from repro.migration.strategy import Strategy
 from repro.net.link import Link
 from repro.net.netmsgserver import NetMsgServer
 from repro.obs import Instrumentation
@@ -407,8 +407,8 @@ class Testbed:
         world.begin_trial()
         return world
 
-    def run_migration(self, workload, *, mode="direct", strategy=PURE_IOU,
-                      prefetch=0, run_remote=True, options=None,
+    def run_migration(self, workload, *, mode="direct", strategy=None,
+                      prefetch=None, run_remote=True, options=None,
                       path=("alpha", "beta", "gamma"), run_fractions=None,
                       dirty_rate_pps=None, stop_threshold=32, max_rounds=5):
         """Run one migration trial of any ``mode`` — the single
@@ -419,8 +419,10 @@ class Testbed:
         iterative V-system baseline, a :class:`PrecopyResult`) or
         ``"chain"`` (multi-hop over ``path``, a :class:`ChainResult`).
         ``options`` is the unified :class:`TransferOptions` record —
-        including the content-store knobs — and the remaining keywords
-        are per-mode parameters; the classic
+        including the content-store knobs.  An explicit ``strategy`` or
+        ``prefetch`` wins over the record's field; left ``None``, the
+        record (or the ``pure-iou``/prefetch-0 default) applies.  The
+        remaining keywords are per-mode parameters; the classic
         ``migrate``/``migrate_precopy``/``migrate_chain`` methods are
         thin wrappers over this.
         """
@@ -444,7 +446,7 @@ class Testbed:
             f"mode must be 'direct', 'precopy' or 'chain', got {mode!r}"
         )
 
-    def migrate(self, workload, strategy=PURE_IOU, prefetch=0, run_remote=True,
+    def migrate(self, workload, strategy=None, prefetch=None, run_remote=True,
                 options=None):
         """Run one full two-host trial; returns a
         :class:`MigrationResult`.  Thin wrapper over
@@ -454,7 +456,7 @@ class Testbed:
             run_remote=run_remote, options=options,
         )
 
-    def _run_direct(self, workload, strategy=PURE_IOU, prefetch=0,
+    def _run_direct(self, workload, strategy=None, prefetch=None,
                     run_remote=True, options=None):
         options = TransferOptions.coerce(
             options, strategy=strategy, prefetch=prefetch
@@ -597,8 +599,8 @@ class Testbed:
         self,
         workload,
         path=("alpha", "beta", "gamma"),
-        strategy=PURE_IOU,
-        prefetch=0,
+        strategy=None,
+        prefetch=None,
         run_fractions=None,
         options=None,
     ):
@@ -616,8 +618,8 @@ class Testbed:
         self,
         workload,
         path=("alpha", "beta", "gamma"),
-        strategy=PURE_IOU,
-        prefetch=0,
+        strategy=None,
+        prefetch=None,
         run_fractions=None,
         options=None,
     ):

@@ -14,6 +14,8 @@ Three properties anchor the redesign:
   pure-IOU).
 """
 
+import pytest
+
 from repro.migration.plan import TransferOptions
 from repro.obs import jsonl_lines
 from repro.testbed import Testbed
@@ -104,6 +106,23 @@ def test_explicit_default_options_match_kwargs_path():
     )
     assert _signature(kwargs) == _signature(explicit)
     assert explicit.options.batch == 1 and explicit.options.pipeline == 1
+
+
+@pytest.mark.parametrize("form", [TransferOptions, dict])
+@pytest.mark.parametrize("mode", ["migrate", "migrate_chain"])
+def test_explicit_strategy_and_prefetch_win_over_options(form, mode):
+    """Explicit keywords beat the options record, instance or dict."""
+    run = getattr(Testbed(seed=1), mode)
+    result = run(
+        "minprog", strategy="pure-copy", prefetch=3,
+        options=form(strategy="adaptive", prefetch=1, batch=2),
+    )
+    assert result.strategy == "pure-copy"
+    assert result.prefetch == 3
+    assert result.batch == 2
+    assert result.options == TransferOptions(
+        strategy="pure-copy", prefetch=3, batch=2
+    )
 
 
 def test_batched_trial_replays_byte_identically():

@@ -48,7 +48,17 @@ def test_coerce_none_uses_defaults():
 
 def test_coerce_instance_wins_over_defaults():
     given = TransferOptions(strategy="adaptive", batch=8)
-    assert TransferOptions.coerce(given, strategy="pure-copy") is given
+    # An unset (None) keyword is a default, not a choice.
+    assert TransferOptions.coerce(given, strategy=None, prefetch=None) == given
+
+
+@pytest.mark.parametrize("form", [TransferOptions, dict])
+def test_coerce_explicit_keyword_wins_over_record(form):
+    given = form(strategy="adaptive", prefetch=1, batch=8)
+    options = TransferOptions.coerce(given, strategy="pure-copy", prefetch=3)
+    assert options == TransferOptions(
+        strategy="pure-copy", prefetch=3, batch=8
+    )
 
 
 def test_coerce_dict_merges_into_defaults():

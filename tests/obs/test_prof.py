@@ -64,7 +64,7 @@ class TestNonPerturbation:
 
 
 class TestDispatchModes:
-    """run_engine mirrors all three Engine.run modes exactly."""
+    """A profiled engine keeps all three Engine.run modes exact."""
 
     @staticmethod
     def _ticker(eng, marks):

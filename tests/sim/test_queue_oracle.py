@@ -3,7 +3,7 @@
 Randomized schedule programs are pre-generated (so execution draws no
 randomness) and replayed against both the production
 :class:`~repro.sim.engine.Engine` and the
-:class:`~repro.sim.refqueue.ReferenceEngine`, which keeps the original
+:class:`~tests.sim.refqueue.ReferenceEngine`, which keeps the original
 flat ``(time, priority, seq)`` heap.  The flat heap is the *definition*
 of the engine's total order, so entry-for-entry agreement of the
 dispatch logs proves the two-lane rewrite preserved it exactly.

@@ -593,3 +593,16 @@ def test_analyze_rejects_wrong_schema_version(tmp_path):
     code, text = run_cli(["analyze", str(future)])
     assert code == 2
     assert "trace_schema" in text
+
+
+@pytest.mark.parametrize("argv, command, message", [
+    (["stress", "--arrival", "burst", "--burst-size", "0"],
+     "stress", "burst_size must be >= 1"),
+    (["serve", "--request-arrival", "burst", "--request-burst", "0"],
+     "serve", "request_burst must be >= 1"),
+    (["stress", "--inflight", "0"], "stress", "inflight_cap must be >= 1"),
+])
+def test_out_of_range_config_exits_with_one_line(argv, command, message):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == f"bad {command} configuration: {message}, got 0"
