@@ -136,10 +136,11 @@ def precopy_migrate(
     # Final RIMAS: only the pages dirtied since the last round travel;
     # the destination merges its pre-copied stash for the rest.
     region = rimas.first_section(RegionSection)
+    final_set = set(final_dirty)
     final_pages = {
         index: page
         for index, page in region.pages.items()
-        if index in set(final_dirty)
+        if index in final_set
     }
     rimas.sections[rimas.sections.index(region)] = RegionSection(
         final_pages, force_copy=True, label="precopy-final"

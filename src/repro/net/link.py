@@ -66,18 +66,12 @@ class Link:
         fragment arrives, so the ship span's ``fragments`` counter
         already tells the whole story.
         """
-        calibration = self.calibration
-        self.inflight += 1
-        if self.inflight > self.peak_inflight:
-            self.peak_inflight = self.inflight
+        request = self.acquire()
         try:
-            with self.medium.held() as req:
-                yield req
-                yield self.engine.timeout(
-                    (nbytes * 8.0) / calibration.link_bandwidth_bps
-                )
+            yield request
+            yield self.engine.timeout(self.serialisation_s(nbytes))
         finally:
-            self.inflight -= 1
+            self.release(request)
         faults = self.faults
         if faults is not None:
             if source is not None and dest is not None:
@@ -88,10 +82,37 @@ class Link:
                     span.add("drops")
                     return False
             span.add("frames")
+        self.delivered(nbytes)
+        yield self.engine.timeout(self.calibration.link_latency_s)
+        return True
+
+    # -- per-frame accounting ---------------------------------------------------
+    # The one home of the in-flight and delivery counters, shared by
+    # :meth:`transmit` and the NetMsgServer's perfect-network fragment
+    # state machine (:class:`~repro.net.netmsgserver.FragmentPipe`).
+    def acquire(self):
+        """Queue a frame for the medium: count it in flight and return
+        the medium :class:`~repro.sim.Request` that fires on its turn."""
+        inflight = self.inflight = self.inflight + 1
+        if inflight > self.peak_inflight:
+            self.peak_inflight = inflight
+        return self.medium.request()
+
+    def release(self, request):
+        """The frame is off the medium (serialised, or abandoned while
+        queued): free ``request`` and drop the frame from the in-flight
+        count."""
+        self.medium.release(request)
+        self.inflight -= 1
+
+    def delivered(self, nbytes):
+        """Count one frame of ``nbytes`` that reached the far side."""
         self.frames += 1
         self.bytes += nbytes
-        yield self.engine.timeout(calibration.link_latency_s)
-        return True
+
+    def serialisation_s(self, nbytes):
+        """Medium time to serialise ``nbytes`` at the link bandwidth."""
+        return (nbytes * 8.0) / self.calibration.link_bandwidth_bps
 
     def utilisation(self):
         """Fraction of time the medium has been busy."""

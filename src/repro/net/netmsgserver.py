@@ -26,7 +26,8 @@ from repro.cor.backer import BackingServer
 from repro.faults.errors import TransportError
 from repro.obs import causal
 from repro.obs.span import NULL_SPAN
-from repro.sim import Resource
+from repro.sim import Event, Process, Resource, Timeout
+from repro.sim.events import PENDING
 
 
 class NetMsgServerError(Exception):
@@ -158,15 +159,22 @@ class NetMsgServer:
             ship_span.add("fragments", len(fragment_sizes))
             for section in message.sections_of(RegionSection):
                 self.pages_shipped_by_op[message.op] += len(section.pages)
-            pipes = [
-                self.engine.process(
-                    self._fragment_pipe(
-                        size, link, peer, message.op, ship_span, phase
-                    ),
-                    name=f"frag-{message.op}",
-                )
-                for size in fragment_sizes
-            ]
+            name = "frag-" + message.op
+            if link.faults is None:
+                pipes = [
+                    FragmentPipe(self, size, link, peer, message.op, phase, name)
+                    for size in fragment_sizes
+                ]
+            else:
+                pipes = [
+                    self.engine.process(
+                        self._reliable_fragment(
+                            size, link, peer, message.op, ship_span, phase
+                        ),
+                        name=name,
+                    )
+                    for size in fragment_sizes
+                ]
             try:
                 yield self.engine.all_of(pipes)
             except TransportError:
@@ -187,38 +195,15 @@ class NetMsgServer:
         finally:
             ship_span.finish()
 
-    def _fragment_pipe(self, wire_bytes, link, peer, category, span, phase=None):
-        """One fragment's passage: src NMS -> link -> dst NMS.
-
-        On a perfect network (no fault model attached) the fragment
-        travels under the paper-calibrated cost model.  With a
-        FaultInjector attached it travels under the reliable transport
-        instead: sequence number, positive per-fragment ack, ack
-        timeout with capped exponential backoff, and duplicate
-        suppression at the receiver.
-        """
-        hop = self.calibration.nms_hop_s(wire_bytes)
-        if link.faults is not None:
-            yield from self._reliable_fragment(
-                wire_bytes, link, peer, category, hop, span, phase
-            )
-            return
-        with self.cpu.held() as req:
-            yield req
-            yield self.engine.timeout(hop)
-        self.host.metrics.record_nms(self.host.name, hop)
-        yield from link.transmit(wire_bytes, span=span)
-        self.host.metrics.record_link(
-            wire_bytes, category, self.host.name, peer.host.name, phase=phase
-        )
-        with peer.cpu.held() as req:
-            yield req
-            yield self.engine.timeout(hop)
-        self.host.metrics.record_nms(peer.host.name, hop)
-
-    def _reliable_fragment(self, wire_bytes, link, peer, category, hop, span,
+    def _reliable_fragment(self, wire_bytes, link, peer, category, span,
                            phase=None):
         """Deliver one fragment over a faulty wire, or die trying.
+
+        A fault model on the link (a FaultInjector) puts every fragment
+        under this reliable transport: sequence number, positive
+        per-fragment ack, ack timeout with capped exponential backoff,
+        and duplicate suppression at the receiver.  A perfect network
+        runs :class:`FragmentPipe` instead.
 
         The sender keeps the fragment until a positive ack returns; a
         lost data frame *or* a lost ack triggers a retransmission
@@ -232,6 +217,7 @@ class NetMsgServer:
         the retry resolves — an ack, a further retransmit, or failure.
         """
         calibration = self.calibration
+        hop = calibration.nms_hop_s(wire_bytes)
         seq = (self.host.name, next(self._seq))
         timeout = calibration.retransmit_timeout_s
         attempts = 0
@@ -431,3 +417,96 @@ class NetMsgServer:
         # receiver's handlers can parent their spans to the sender's.
         delivered.trace_ctx = message.trace_ctx
         return delivered
+
+
+class FragmentPipe(Process):
+    """One fragment's passage over a perfect network — source NMS ->
+    link -> destination NMS — as a callback state machine.
+
+    It schedules exactly the events of the generator process it
+    replaced (kept as the test oracle ``tests/net/reffragment.py``), in
+    the same order, at the same times and priorities: the init event;
+    the source CPU's Request and hop Timeout; the medium's Request, the
+    serialisation Timeout and the latency Timeout; the destination
+    CPU's Request and hop Timeout; and last the pipe itself, the event
+    the ship's ``all_of`` waits on.  The ``record_nms``/``record_link``
+    calls fall at the same points.  Each stage is a bound method
+    appended to the event it waits on, so a stage costs one callback
+    instead of a generator resumption.
+
+    It stays a :class:`~repro.sim.Process`: it completes like one (the
+    event-kind counters fold it into ``Process``), and its ``name``
+    (``frag-<op>``) is the handler the engine profiler buckets its
+    dispatches under.  It has no generator, so it cannot be
+    interrupted; nothing interrupts a fragment.
+    """
+
+    __slots__ = ("_nms", "_link", "_peer", "_category", "_phase",
+                 "_wire_bytes", "_hop", "_request")
+
+    def __init__(self, nms, wire_bytes, link, peer, category, phase, name):
+        engine = nms.engine
+        self.engine = engine
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self.name = name
+        self._nms = nms
+        self._link = link
+        self._peer = peer
+        self._category = category
+        self._phase = phase
+        self._wire_bytes = wire_bytes
+        self._hop = nms.calibration.nms_hop_s(wire_bytes)
+        init = Event(engine)
+        init._ok = True
+        init._value = None
+        init.callbacks.append(self._source_queue)
+        engine.schedule(init)
+
+    def _source_queue(self, _event):
+        request = self._request = self._nms.cpu.request()
+        request.callbacks.append(self._source_hop)
+
+    def _source_hop(self, _event):
+        Timeout(self.engine, self._hop).callbacks.append(self._medium_queue)
+
+    def _medium_queue(self, _event):
+        nms = self._nms
+        nms.cpu.release(self._request)
+        nms.host.metrics.record_nms(nms.host.name, self._hop)
+        request = self._request = self._link.acquire()
+        request.callbacks.append(self._serialise)
+
+    def _serialise(self, _event):
+        Timeout(
+            self.engine, self._link.serialisation_s(self._wire_bytes)
+        ).callbacks.append(self._propagate)
+
+    def _propagate(self, _event):
+        link = self._link
+        link.release(self._request)
+        link.delivered(self._wire_bytes)
+        Timeout(
+            self.engine, link.calibration.link_latency_s
+        ).callbacks.append(self._dest_queue)
+
+    def _dest_queue(self, _event):
+        nms = self._nms
+        peer = self._peer
+        nms.host.metrics.record_link(
+            self._wire_bytes, self._category, nms.host.name, peer.host.name,
+            phase=self._phase,
+        )
+        request = self._request = peer.cpu.request()
+        request.callbacks.append(self._dest_hop)
+
+    def _dest_hop(self, _event):
+        Timeout(self.engine, self._hop).callbacks.append(self._done)
+
+    def _done(self, _event):
+        peer = self._peer
+        peer.cpu.release(self._request)
+        self._nms.host.metrics.record_nms(peer.host.name, self._hop)
+        self.succeed()

@@ -55,6 +55,7 @@ from repro.obs.registry import (
 from repro.obs.slo import SLO, SLOEngine, SLOError, load_slos, parse_slos
 from repro.obs.span import NULL_SPAN, Span, Tracer
 from repro.obs.telemetry import DEFAULT_SAMPLE_PERIOD, Telemetry
+from repro.sim.events import event_kind
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -278,9 +279,15 @@ class Instrumentation:
     def finalize(self):
         """Close open spans and sync engine event counts (idempotent)."""
         if self._event_log:
+            # Subclasses fold into their kernel kind (summed, labels in
+            # first-seen order), so a FragmentPipe counts as a Process.
+            totals = {}
+            for cls, total in _Counter(self._event_log).items():
+                kind = event_kind(cls)
+                totals[kind] = totals.get(kind, 0) + total
             family = self.registry.counter("sim_events_total", labels=("kind",))
-            for kind, total in _Counter(self._event_log).items():
-                family.labels(kind=kind.__name__).value = total
+            for kind, total in totals.items():
+                family.labels(kind=kind).value = total
         self.tracer.finish_open()
 
     def summary(self, top=5):

@@ -41,6 +41,7 @@ import re
 import sys
 from time import perf_counter
 
+from repro.sim.events import event_kind
 from repro.sim.process import Process
 
 #: Ordered (subsystem, substrings) rules mapping handler names — the
@@ -297,9 +298,11 @@ class EngineProfiler:
         """(event kind, handler label, subsystem) for one dispatch.
 
         The handler is the simulated process the event resumes — the
-        first ``Process._resume`` callback's owner — falling back to
-        the event's own identity (a finishing Process, a Condition
-        check, a bare observer callable).
+        owner of the first callback bound to a Process (its
+        ``_resume``, or a ``FragmentPipe`` stage) — falling back to the
+        event's own identity (a finishing Process, a Condition check, a
+        bare observer callable).  The kind is the kernel kind
+        (:func:`~repro.sim.events.event_kind`).
         """
         name = None
         if callbacks:
@@ -324,7 +327,7 @@ class EngineProfiler:
         if cached is None:
             label = normalize(name)
             cached = self._labels[name] = (label, classify_handler(label))
-        return event.__class__.__name__, cached[0], cached[1]
+        return event_kind(event.__class__), cached[0], cached[1]
 
     # -- reporting --------------------------------------------------------------
     def cost_centers(self):

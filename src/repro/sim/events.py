@@ -11,6 +11,27 @@ from repro.sim.errors import SimulationError
 
 PENDING = object()
 
+#: Event class -> the kind name it reports as (see :func:`event_kind`).
+_KINDS = {}
+
+
+def event_kind(cls):
+    """The kind name an event class reports under: its own name for the
+    kernel's classes, else that of its nearest ``repro.sim`` ancestor.
+
+    Specialised events elsewhere (the NetMsgServer's ``FragmentPipe`` is
+    a :class:`~repro.sim.Process`) therefore count, trace and profile
+    as the kernel kind they stand in for.
+    """
+    kind = _KINDS.get(cls)
+    if kind is None:
+        base = next(
+            klass for klass in cls.__mro__
+            if klass.__module__.startswith("repro.sim.")
+        )
+        kind = _KINDS[cls] = base.__name__
+    return kind
+
 
 class Event:
     """A one-shot occurrence that other activities can wait for.

@@ -92,11 +92,20 @@ class Resource:
         return len(self._waiting)
 
     def request(self):
-        """Ask for a slot; returns an event that fires once granted."""
+        """Ask for a slot; returns an event that fires once granted.
+
+        With a slot free and nobody queued the grant is immediate: the
+        same ``succeed`` the queue-then-grant path schedules, without
+        the round trip through the wait queue.
+        """
         self._account()
         req = Request(self)
-        self._waiting.append(req)
-        self._grant()
+        if not self._waiting and len(self._users) < self.capacity:
+            self._users.append(req)
+            req.succeed(req)
+        else:
+            self._waiting.append(req)
+            self._grant()
         return req
 
     def release(self, request):

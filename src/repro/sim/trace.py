@@ -16,6 +16,8 @@ scattering prints through server loops.
 
 from collections import deque, namedtuple
 
+from repro.sim.events import event_kind
+
 TraceEntry = namedtuple("TraceEntry", "time kind detail")
 TraceEntry.__doc__ = "One processed event: when, what kind, description."
 
@@ -49,7 +51,7 @@ class TraceLog:
     def observe(self, now, event):
         """Engine callback: record one processed event."""
         self.entries.append(
-            TraceEntry(now, type(event).__name__, self._describe(event))
+            TraceEntry(now, event_kind(type(event)), self._describe(event))
         )
 
     @staticmethod

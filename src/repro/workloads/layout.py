@@ -204,7 +204,8 @@ def _select_resident(spec, rng, plan):
     touched_list = list(plan.touched_order)
     overlap_count = min(spec.touched_in_rs_pages, len(touched_list))
     resident = set(rng.sample(touched_list, overlap_count))
-    untouched = [i for i in plan.real_indices if i not in plan.touched]
+    touched = plan.touched
+    untouched = [i for i in plan.real_indices if i not in touched]
     remainder = spec.resident_pages - overlap_count
     if remainder > len(untouched):
         raise ValueError(
@@ -216,8 +217,8 @@ def _select_resident(spec, rng, plan):
     # The true working set: pages the process was *just* using — the
     # soon-to-be-re-touched overlap plus a sprinkle of hot-but-finished
     # pages (temporal locality is good, not perfect).
-    recent = set(resident & plan.touched)
-    cold_resident = sorted(resident - plan.touched)
+    recent = resident & touched
+    cold_resident = sorted(resident - touched)
     extra = min(len(cold_resident), max(1, len(recent) // 5))
     if extra:
         recent.update(rng.sample(cold_resident, extra))

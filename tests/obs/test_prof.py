@@ -180,6 +180,20 @@ class TestAttribution:
         # A stress run exercises at least these engine subsystems.
         assert {"workload", "net", "scheduler", "migration"} <= subsystems
 
+    def test_fragment_dispatches_bucket_under_net(self):
+        """Perfect-network fragments run as FragmentPipe state machines:
+        their stage events still bucket under the ``frag-<op>`` handler
+        in ``net``, and no bucket reports the subclass as its kind."""
+        profiler = EngineProfiler()
+        with profiled(profiler):
+            Testbed().migrate("minprog", strategy="pure-copy")
+        rows = profiler.cost_centers()
+        frag = [row for row in rows if row["handler"].startswith("frag-")]
+        assert frag
+        assert {row["subsystem"] for row in frag} == {"net"}
+        assert {"Event", "Request", "Timeout"} <= {row["event"] for row in frag}
+        assert "FragmentPipe" not in {row["event"] for row in rows}
+
     def test_allocations_counted(self):
         profiler = self._profiled_stress()
         report = profiler.report()

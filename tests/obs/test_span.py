@@ -158,6 +158,34 @@ def test_attach_engine_counts_dispatches_into_registry():
     assert family.value(kind="Timeout") == 2
 
 
+def test_event_subclasses_count_as_their_kernel_kind():
+    """Subclasses fold into their ``repro.sim`` base kind by summing: a
+    class that merely shares a kernel class's ``__name__`` adds to its
+    count instead of overwriting it."""
+    from repro.sim import Event, Timeout as KernelTimeout
+
+    class Timeout(KernelTimeout):
+        __slots__ = ()
+
+    class Ticket(Event):
+        __slots__ = ()
+
+    eng = Engine()
+    obs = Instrumentation(clock=lambda: eng.now, enabled=True)
+    obs.attach_engine(eng)
+    Ticket(eng).succeed()
+    Timeout(eng, 1.0)
+    eng.timeout(2.0)
+    Timeout(eng, 3.0)
+    eng.run()
+    obs.finalize()
+
+    family = obs.registry.get("sim_events_total")
+    assert [key for key, _ in family.items()] == [("Event",), ("Timeout",)]
+    assert family.value(kind="Event") == 1
+    assert family.value(kind="Timeout") == 3
+
+
 def test_disabled_instrumentation_never_observes_the_engine():
     eng = Engine()
     obs = Instrumentation(clock=lambda: eng.now, enabled=False)
